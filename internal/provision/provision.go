@@ -297,6 +297,26 @@ func (p *Provisioner) Running() int { return len(p.instances) }
 // are maintained at every state transition.
 func (p *Provisioner) Committed() int { return p.numBooting + p.numActive }
 
+// FleetFloor returns a lower bound on the live instance count (booting,
+// active, and draining instances, as the collector integrates it) that
+// holds from now until the next SetTarget. On a reliable fleet (no fault
+// model) the bound is Committed(): a booting or active instance leaves
+// the fleet only through a scale-down inside SetTarget, because crashes
+// and boot failures arrive only through a fault model, and domain
+// outages only through the fault layer that installs one. A drained
+// instance retiring was not committed, and activations, reactivations,
+// and healing scale-ups only add. With a fault model any instance may
+// crash at any moment, so the floor is 0.
+func (p *Provisioner) FleetFloor() int {
+	if p.fm != nil {
+		return 0
+	}
+	return p.Committed()
+}
+
+// Tracer returns the structured-event recorder set by SetTracer, or nil.
+func (p *Provisioner) Tracer() trace.Recorder { return p.tracer }
+
 // Target returns the size most recently requested via SetTarget.
 func (p *Provisioner) Target() int { return p.target }
 
