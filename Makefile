@@ -1,9 +1,12 @@
 # CI entry points for the vmprov reproduction. `make ci` is the gate a PR
 # must pass: static checks, the full test suite with the race detector,
-# the kernel fuzz targets in short mode, and bench smoke runs that
-# exercise the kernel, sweep, hybrid and MPC benchmark paths. Smoke runs
-# write their reports to scratch paths, so `make ci` leaves every
-# committed BENCH_*.json untouched; the bench-* targets regenerate them.
+# the kernel fuzz targets in short mode, bench smoke runs that exercise
+# the kernel, sweep, hybrid and MPC benchmark paths, and the perfbench
+# module's tests (BENCHMARK.json against the benchmark's catalog, and
+# the BENCH_kernel, BENCH_ff and BENCH_mpc records reproduced through
+# the benchmark's driver). Smoke runs write their reports to scratch
+# paths, so `make ci` leaves every committed BENCH_*.json untouched; the
+# bench-* targets regenerate them.
 
 GO        ?= go
 FUZZTIME  ?= 10s
@@ -19,9 +22,9 @@ MPCTMP    ?= /tmp/BENCH_mpc_fresh.json
 CHAOSOUT  ?= BENCH_chaos.json
 CHAOSTMP  ?= /tmp/BENCH_chaos_fresh.json
 
-.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench bench-kernel bench-sweep bench-compare bench-ff bench-mpc bench-chaos golden
+.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke perfbench-test bench bench-kernel bench-sweep bench-compare bench-ff bench-mpc bench-chaos golden
 
-ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke
+ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke perfbench-test
 
 # gofmt cleanliness gate: fail (and list the files) if any tracked Go
 # source is not gofmt-formatted.
@@ -144,6 +147,14 @@ snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/experiment ./internal/mpc -run 'TestSnapshot|TestCheckpoint|TestMPC'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
 	$(GO) run ./cmd/vmprovsim -benchmpc $(MPCTMP) -mpcscale 0.02 -mpcreps 1
+
+# The perfbench module (its own go.mod, importing this tree's internal
+# packages): BENCHMARK.json must match the benchmark's workload and metric
+# catalog, and the driver must reproduce the committed BENCH_kernel
+# event/request counts, the BENCH_ff exact/hybrid event counts and the
+# BENCH_mpc objective.
+perfbench-test:
+	$(GO) -C perfbench test .
 
 # Full benchmark sweep with allocation stats (slow; not part of ci).
 bench:

@@ -34,7 +34,7 @@ type Collector struct {
 	class0  classStats          // inline stats for the default class, avoiding a map op per request
 	classes map[int]*classStats // accounting for non-zero priority classes
 
-	clients map[string]*clientStats // per-client accounting; touched only for tagged requests
+	clients []clientStats // per-client accounting in first-sight order; touched only for tagged requests
 
 	instances   stats.TimeWeighted // running-instance count over time
 	everScaled  bool
@@ -90,7 +90,6 @@ func NewCollector(ts float64) *Collector {
 		ts:       ts,
 		respHist: stats.NewHistogram(0, 4*ts, 2048),
 		classes:  make(map[int]*classStats),
-		clients:  make(map[string]*clientStats),
 	}
 }
 
@@ -98,6 +97,7 @@ func NewCollector(ts float64) *Collector {
 // classStats, only the mean response is reported per client, so plain
 // sums suffice.
 type clientStats struct {
+	name     string
 	slo      string
 	accepted uint64
 	rejected uint64
@@ -106,14 +106,20 @@ type clientStats struct {
 }
 
 // client resolves the accumulator for a client tag, creating it on first
-// sight. The single-source hot path (empty tag) never calls this.
+// sight. The single-source hot path (empty tag) never calls this. A
+// workload has a handful of clients, so a linear scan with string
+// equality — usually a length check and a pointer-equal compare, since
+// tags share the spec's name strings — beats hashing the tag into a map
+// on every tagged completion and rejection. The returned pointer is
+// valid until the next first sight.
 func (c *Collector) client(name string) *clientStats {
-	cs := c.clients[name]
-	if cs == nil {
-		cs = &clientStats{}
-		c.clients[name] = cs
+	for i := range c.clients {
+		if c.clients[i].name == name {
+			return &c.clients[i]
+		}
 	}
-	return cs
+	c.clients = append(c.clients, clientStats{name: name})
+	return &c.clients[len(c.clients)-1]
 }
 
 // DeclareClients pre-registers the workload's client cohorts, binding
@@ -165,7 +171,7 @@ func (c *Collector) Reset(ts float64) {
 	c.accepted, c.rejected, c.violated, c.missed = 0, 0, 0, 0
 	c.class0 = classStats{}
 	clear(c.classes)
-	clear(c.clients)
+	c.clients = c.clients[:0]
 	c.instances = stats.TimeWeighted{}
 	c.everScaled = false
 	c.vmSeconds, c.busySeconds = 0, 0
@@ -197,7 +203,7 @@ type CollectorSnap struct {
 	missed      uint64
 	class0      classStats
 	classes     map[int]classStats
-	clients     map[string]clientStats
+	clients     []clientStats
 	instances   stats.TimeWeighted
 	everScaled  bool
 	vmSeconds   float64
@@ -247,14 +253,7 @@ func (c *Collector) Snapshot(snap *CollectorSnap) {
 	for k, cs := range c.classes {
 		snap.classes[k] = *cs
 	}
-	if snap.clients == nil {
-		snap.clients = make(map[string]clientStats)
-	} else {
-		clear(snap.clients)
-	}
-	for k, cs := range c.clients {
-		snap.clients[k] = *cs
-	}
+	snap.clients = append(snap.clients[:0], c.clients...)
 	snap.instances = c.instances
 	snap.everScaled = c.everScaled
 	snap.vmSeconds, snap.busySeconds = c.vmSeconds, c.busySeconds
@@ -296,21 +295,7 @@ func (c *Collector) Restore(snap *CollectorSnap) {
 		}
 		*cs = v
 	}
-	//vmprov:allow maporder -- per-key delete of absent keys; no cross-key state
-	for k := range c.clients {
-		if _, ok := snap.clients[k]; !ok {
-			delete(c.clients, k)
-		}
-	}
-	//vmprov:allow maporder -- per-key overwrite into a map; no cross-key state
-	for k, v := range snap.clients {
-		cs := c.clients[k]
-		if cs == nil {
-			cs = &clientStats{}
-			c.clients[k] = cs
-		}
-		*cs = v
-	}
+	c.clients = append(c.clients[:0], snap.clients...)
 	c.instances = snap.instances
 	c.everScaled = snap.everScaled
 	c.vmSeconds, c.busySeconds = snap.vmSeconds, snap.busySeconds
@@ -742,16 +727,11 @@ func (c *Collector) ClientResults() []ClientResult {
 	if len(c.clients) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(c.clients))
-	for name := range c.clients {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]ClientResult, 0, len(names))
-	for _, name := range names {
-		cs := c.clients[name]
+	out := make([]ClientResult, 0, len(c.clients))
+	for i := range c.clients {
+		cs := &c.clients[i]
 		r := ClientResult{
-			Client:     name,
+			Client:     cs.name,
 			SLOClass:   cs.slo,
 			Accepted:   cs.accepted,
 			Rejected:   cs.rejected,
@@ -765,6 +745,8 @@ func (c *Collector) ClientResults() []ClientResult {
 		}
 		out = append(out, r)
 	}
+	// Names are unique, so the order is total.
+	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
 	return out
 }
 

@@ -227,6 +227,13 @@ func FuzzSimHeap(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 0, 8, 0, 5, 0, 0, 5, 0, 0, 6, 0, 1})       // step through, cancel far event
 	f.Add([]byte{0, 25, 0, 0, 25, 0, 0, 25, 0, 3, 0, 1, 4, 26, 0})   // cancel middle of equal times
 	f.Add([]byte{1, 5, 0, 4, 2, 0, 1, 5, 0, 4, 2, 0, 1, 5, 0, 4, 2}) // drain/refill cycles
+	// Tie-heavy tapes: pending sets whose times take at most four values,
+	// sized to end on a full child group (5 = 1+4, 21 = 1+4+16) and on
+	// partial ones (7, 13, 64), so sift-down's four-child tournament and
+	// its partial-group scan both decide mostly on seq.
+	for i, n := range []int{5, 7, 13, 21, 64} {
+		f.Add(tieTape(n, uint64(i)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*400 {
 			t.Skip("cap op count: the reference is quadratic")
@@ -251,5 +258,39 @@ func TestHeapVsReferenceRandom(t *testing.T) {
 			data[i] = byte(r.Uint64())
 		}
 		checkModel(t, data)
+	}
+}
+
+// tieTape returns an op tape that schedules n events at no more than four
+// distinct times (now+0..3, a quarter of them via the same-instant op),
+// then drains them by single steps with an occasional cancel and ends
+// with a partial drain — a pending set of n events whose heap compares
+// are decided mostly by insertion sequence.
+func tieTape(n int, seed uint64) []byte {
+	r := stats.NewRNG(seed)
+	data := make([]byte, 0, 3*(n+n/2+1))
+	for i := 0; i < n; i++ {
+		if r.IntN(4) == 0 {
+			data = append(data, 2, 0, 0)
+		} else {
+			data = append(data, 0, byte(8*r.IntN(4)), 0)
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		if r.IntN(8) == 0 {
+			data = append(data, 3, 0, byte(r.IntN(256)))
+		} else {
+			data = append(data, 5, 0, 0)
+		}
+	}
+	return append(data, 4, 8, 0)
+}
+
+// TestHeapVsReferenceTies checks the kernel against the reference on
+// tie-heavy tapes at every pending-set size from 1 to 300, crossing both
+// full and partial groups of four children at every heap depth.
+func TestHeapVsReferenceTies(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		checkModel(t, tieTape(n, uint64(n)))
 	}
 }

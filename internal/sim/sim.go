@@ -24,10 +24,18 @@
 //     key (time, seq) next to the arena index, so sift-up/down compare
 //     within the heap slice itself instead of dereferencing arena nodes —
 //     one contiguous array walk instead of a pointer chase per level.
+//     Sift-down picks the least of a full group of four children by a
+//     two-round tournament (two independent compares, then one), not a
+//     serial scan of three dependent compares, and selects by index
+//     arithmetic rather than by branching on the coin-flip outcomes.
 //   - ScheduleFunc/AtFunc take a func(arg any) plus the arg, so hot callers
 //     (request completions, batched arrival walkers) can pass a static
 //     function and a pointer instead of capturing a fresh closure per
 //     event.
+//   - RegisterFire/ScheduleFire schedule an interned callback with no
+//     arena slot at all: the event lives in its 24-byte pointer-free heap
+//     entry. Request completions and every self-rescheduling arrival
+//     chain that never cancels its pending event use it.
 //   - ReserveSeq/PeekNext/InlineFire/AtFuncReserved let a batched event
 //     source (the arrival walkers) consume events inline — advancing the
 //     clock without a heap push+pop per event — while remaining
@@ -633,6 +641,21 @@ func entryLess(a, b *heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// lessBit is entryLess as 0 or 1, computed with flag-setting compares
+// and bit operations instead of a branch on the outcome, so a heap
+// compare whose result is a coin flip cannot cost a branch mispredict.
+// It agrees with entryLess on every input, NaN and ±0 included.
+func lessBit(a, b *heapEntry) int {
+	return b2i(a.time < b.time) | b2i(a.time == b.time)&b2i(a.seq < b.seq)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // up re-sifts the entry currently at index i (cold paths: Cancel).
 func (s *Sim) up(i int) { s.siftUp(i, s.heap[i]) }
 
@@ -665,25 +688,40 @@ func (s *Sim) siftUp(i int, e heapEntry) {
 }
 
 // siftDown places entry e, conceptually at hole index i, at its heap
-// position, shifting smaller children up through the hole.
+// position, shifting smaller children up through the hole. A full group
+// of four children is reduced by a two-round tournament — min(c0, c1)
+// and min(c2, c3) are independent compares the CPU overlaps, then one
+// final compare — instead of a serial scan of three dependent compares.
+// Each round selects by index arithmetic on lessBit, so the whole
+// reduction runs without a data-dependent branch; which child is least
+// is unpredictable, and on a wide heap those mispredicts were the
+// dominant cost of a pop. Children are distinct under the total (time,
+// seq) order, so the tournament and the scan pick the same child; the
+// partial last group keeps the scan.
 func (s *Sim) siftDown(i int, e heapEntry) {
-	n := len(s.heap)
+	h := s.heap
+	n := len(h)
 	for {
 		first := heapArity*i + 1
 		if first >= n {
 			break
 		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		smallest := first
-		for c := first + 1; c < end; c++ {
-			if entryLess(&s.heap[c], &s.heap[smallest]) {
-				smallest = c
+		var smallest int
+		if first+heapArity <= n {
+			c := h[first : first+heapArity]
+			a := lessBit(&c[1], &c[0])
+			b := 2 + lessBit(&c[3], &c[2])
+			a += (b - a) & -lessBit(&c[b], &c[a])
+			smallest = first + a
+		} else {
+			smallest = first
+			for c := first + 1; c < n; c++ {
+				if entryLess(&h[c], &h[smallest]) {
+					smallest = c
+				}
 			}
 		}
-		sm := &s.heap[smallest]
+		sm := &h[smallest]
 		if !entryLess(sm, &e) {
 			break
 		}

@@ -324,3 +324,26 @@ func TestCancelProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// lessBit must agree with entryLess everywhere: it replaces it in
+// siftDown's tournament, and any disagreement would reorder events.
+func TestLessBitMatchesEntryLess(t *testing.T) {
+	times := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1e-300, 1, 1 + 1e-15, 60, math.Inf(1), math.NaN()}
+	seqs := []uint64{0, 1, 2, math.MaxUint64}
+	for _, at := range times {
+		for _, bt := range times {
+			for _, as := range seqs {
+				for _, bs := range seqs {
+					a, b := heapEntry{time: at, seq: as}, heapEntry{time: bt, seq: bs}
+					want := 0
+					if entryLess(&a, &b) {
+						want = 1
+					}
+					if got := lessBit(&a, &b); got != want {
+						t.Fatalf("lessBit(%v/%d, %v/%d) = %d, entryLess says %d", at, as, bt, bs, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -167,7 +167,8 @@ func (ss *SinusoidSource) MeanRate(t float64) float64 {
 	return r
 }
 
-// Start schedules the thinned arrival chain.
+// Start schedules the thinned arrival chain through an interned
+// ScheduleFire callback (the chain never cancels its pending event).
 func (ss *SinusoidSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	if ss.Period <= 0 {
 		panic("workload: SinusoidSource needs a positive Period")
@@ -178,8 +179,8 @@ func (ss *SinusoidSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	if envelope <= 0 {
 		return
 	}
-	var next func()
-	next = func() {
+	var fire sim.FireID
+	fire = s.RegisterFire(func(any) {
 		now := s.Now()
 		if ss.Horizon > 0 && now >= ss.Horizon {
 			return
@@ -188,9 +189,9 @@ func (ss *SinusoidSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		if arr.Float64()*envelope < ss.MeanRate(now) {
 			emit(Request{ID: ss.ids.next(), Arrival: now, Service: ss.Service.Sample(svc)})
 		}
-		s.Schedule(arr.ExpFloat64()/envelope, next)
-	}
-	s.Schedule(arr.ExpFloat64()/envelope, next)
+		s.ScheduleFire(arr.ExpFloat64()/envelope, fire)
+	}, nil)
+	s.ScheduleFire(arr.ExpFloat64()/envelope, fire)
 }
 
 // Snapshot implements Rewindable; the thinned chain's only mutable state

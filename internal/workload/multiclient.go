@@ -428,16 +428,18 @@ func (rs *RenewalSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		}
 		return rs.Gap.Sample(arr) / rate
 	}
-	var next func()
-	next = func() {
+	// The chain never cancels its pending arrival: intern the callback
+	// once and reschedule through ScheduleFire, which costs no arena slot.
+	var fire sim.FireID
+	fire = s.RegisterFire(func(any) {
 		now := s.Now()
 		if rs.Horizon > 0 && now >= rs.Horizon {
 			return
 		}
 		emit(Request{ID: rs.ids.next(), Arrival: now, Service: rs.Service.Sample(svc)})
-		s.Schedule(gap(), next)
-	}
-	s.Schedule(gap(), next)
+		s.ScheduleFire(gap(), fire)
+	}, nil)
+	s.ScheduleFire(gap(), fire)
 }
 
 // Snapshot implements Rewindable; the renewal chain's only mutable state

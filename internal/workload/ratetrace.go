@@ -78,7 +78,8 @@ func (rt *RateTraceSource) MeanRate(t float64) float64 {
 }
 
 // Start schedules the thinned arrival chain up to the end of the trace
-// (or forever when Cycle is set).
+// (or forever when Cycle is set) through an interned ScheduleFire
+// callback (the chain never cancels its pending event).
 func (rt *RateTraceSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	if err := rt.Validate(); err != nil {
 		panic(err)
@@ -95,8 +96,8 @@ func (rt *RateTraceSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		return
 	}
 	end := rt.Times[len(rt.Times)-1]
-	var next func()
-	next = func() {
+	var fire sim.FireID
+	fire = s.RegisterFire(func(any) {
 		now := s.Now()
 		if !rt.Cycle && now >= end {
 			return
@@ -104,9 +105,9 @@ func (rt *RateTraceSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		if arr.Float64()*envelope < rt.MeanRate(now) {
 			emit(Request{ID: rt.ids.next(), Arrival: now, Service: rt.Service.Sample(svc)})
 		}
-		s.Schedule(arr.ExpFloat64()/envelope, next)
-	}
-	s.Schedule(arr.ExpFloat64()/envelope, next)
+		s.ScheduleFire(arr.ExpFloat64()/envelope, fire)
+	}, nil)
+	s.ScheduleFire(arr.ExpFloat64()/envelope, fire)
 }
 
 // Snapshot implements Rewindable; the thinned chain's only mutable state

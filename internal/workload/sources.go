@@ -20,23 +20,26 @@ type PoissonSource struct {
 // MeanRate returns the constant rate.
 func (p *PoissonSource) MeanRate(float64) float64 { return p.Rate }
 
-// Start schedules the exponential interarrival chain.
+// Start schedules the exponential interarrival chain. The chain never
+// cancels its pending arrival, so its callback is interned once with
+// RegisterFire and every arrival reschedules it through ScheduleFire,
+// which costs no arena slot.
 func (p *PoissonSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	if p.Rate <= 0 {
 		return
 	}
 	arr := r.Split("poisson/arrivals")
 	svc := r.Split("poisson/service")
-	var next func()
-	next = func() {
+	var fire sim.FireID
+	fire = s.RegisterFire(func(any) {
 		now := s.Now()
 		if p.Horizon > 0 && now >= p.Horizon {
 			return
 		}
 		emit(Request{ID: p.ids.next(), Arrival: now, Service: p.Service.Sample(svc)})
-		s.Schedule(arr.ExpFloat64()/p.Rate, next)
-	}
-	s.Schedule(arr.ExpFloat64()/p.Rate, next)
+		s.ScheduleFire(arr.ExpFloat64()/p.Rate, fire)
+	}, nil)
+	s.ScheduleFire(arr.ExpFloat64()/p.Rate, fire)
 }
 
 // Snapshot implements Rewindable; the arrival chain's only mutable state
@@ -73,13 +76,15 @@ func (ts *TraceSource) MeanRate(float64) float64 {
 
 // Start replays the trace through a single walking kernel event instead
 // of one event per request, so replaying a production-sized trace does
-// not materialize the whole trace in the pending set.
+// not materialize the whole trace in the pending set. The replay sorts
+// 24-byte records indexing Requests rather than a copy of the requests
+// themselves, so Requests must not change while the replay runs.
 func (ts *TraceSource) Start(s *sim.Sim, _ *stats.RNG, emit func(Request)) {
 	if len(ts.Requests) == 0 {
 		return
 	}
 	ts.wk = newBatchWalker(s, emit)
-	ts.wk.start(append([]Request(nil), ts.Requests...))
+	ts.wk.startTrace(ts.Requests)
 }
 
 // traceSnap holds a trace replay's captured position. The replay batch is
@@ -132,26 +137,30 @@ func (ss *StepSource) MeanRate(t float64) float64 {
 
 // Start schedules a rate-modulated exponential chain (thinning is not
 // needed because the rate is piecewise constant: the chain re-reads the
-// current rate after every arrival and at every boundary).
+// current rate after every arrival and at every boundary). Arrivals
+// reschedule the interned callback through ScheduleFire; the idle
+// wake-up stays on the arena path at the absolute boundary, because
+// now+(b−now) need not equal b bit for bit.
 func (ss *StepSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	arr := r.Split("step/arrivals")
 	svc := r.Split("step/service")
-	var next func()
+	var next func(any)
+	var fire sim.FireID
 	schedule := func() {
 		rate := ss.MeanRate(s.Now())
 		if rate <= 0 {
 			// Idle segment: wake up at the next boundary.
 			for _, b := range ss.Times {
 				if b > s.Now() {
-					s.At(b, next)
+					s.AtFunc(b, next, nil)
 					return
 				}
 			}
 			return
 		}
-		s.Schedule(arr.ExpFloat64()/rate, next)
+		s.ScheduleFire(arr.ExpFloat64()/rate, fire)
 	}
-	next = func() {
+	next = func(any) {
 		now := s.Now()
 		if ss.Horizon > 0 && now >= ss.Horizon {
 			return
@@ -163,6 +172,7 @@ func (ss *StepSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		emit(Request{ID: ss.ids.next(), Arrival: now, Service: ss.Service.Sample(svc)})
 		schedule()
 	}
+	fire = s.RegisterFire(next, nil)
 	schedule()
 }
 

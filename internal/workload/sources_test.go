@@ -248,3 +248,32 @@ func TestARAnalyzerConstantSeries(t *testing.T) {
 		t.Fatalf("constant series forecast = %v, want ≈4", last)
 	}
 }
+
+// Self-rescheduling arrival chains intern their callback once and
+// reschedule through ScheduleFire: a warmed chain runs without
+// allocating, whatever its length.
+func TestWarmedArrivalChainsDoNotAllocate(t *testing.T) {
+	chains := []struct {
+		name string
+		src  Source
+	}{
+		{"renewal", &RenewalSource{
+			Rate: 500, Gap: stats.UnitMeanGamma(2),
+			Modulate: PatternSpec{Kind: PatternBurst, Factor: 2, Period: 30, Duration: 5}.Multiplier,
+			Service:  stats.Deterministic{Value: 0.1},
+		}},
+		{"poisson", &PoissonSource{Rate: 500, Service: stats.Deterministic{Value: 0.1}}},
+	}
+	for _, c := range chains {
+		s := sim.New()
+		n := 0
+		c.src.Start(s, stats.NewRNG(1), func(Request) { n++ })
+		s.RunUntil(10)
+		if allocs := testing.AllocsPerRun(20, func() { s.RunUntil(s.Now() + 5) }); allocs != 0 {
+			t.Errorf("%s chain: %v allocs per 5 s of arrivals, want 0", c.name, allocs)
+		}
+		if n < 500*100/2 {
+			t.Errorf("%s chain emitted only %d arrivals", c.name, n)
+		}
+	}
+}

@@ -91,11 +91,12 @@ func (w *Web) MeanRate(t float64) float64 {
 // spread uniformly over the interval.
 //
 // Arrival injection is batched: each tick pre-samples the whole interval's
-// requests into a reusable slice (drawing from the RNG streams in exactly
-// the order the per-event version did), sorts it by arrival time, and
-// walks it with a single self-rescheduling kernel event. At full scale
-// this replaces ≈500 M per-request events-plus-closures per simulated
-// week with one pooled event and zero per-request allocations.
+// arrivals into a reusable slice of 24-byte records (drawing from the RNG
+// streams in exactly the order the per-event version did), sorts it by
+// arrival time, and walks it with a single self-rescheduling kernel
+// event that builds each Request as it emits it. At full scale this
+// replaces ≈500 M per-request events-plus-closures per simulated week
+// with one pooled event and zero per-request allocations.
 //
 // The tick body lives in webTicker, the FluidSource seam the hybrid
 // engine drives directly; Start is exactly the all-ticks-exact schedule.
@@ -193,25 +194,39 @@ func (tk *webTicker) Emit(now float64, n int) {
 			}
 			counts[b]++
 		}
-		batch = append(batch, Request{
-			ID:      w.ids.next(),
+		batch = append(batch, arrival{
 			Arrival: at,
 			Service: tk.service.Sample(tk.svc),
+			ID:      w.ids.next(),
 		})
 	}
 	tk.wk.startUniform(batch, now, w.Interval)
 }
 
-// batchWalker drains a pre-sampled batch of requests through one pooled
+// arrival is one pre-sampled batch element: the firing key (Arrival, ID)
+// and the service time. A web request is fully described by these three
+// fields, so the walker holds 24-byte pointer-free records instead of
+// full Requests — the bucket scatter, the insertion repair and every
+// snapshot remnant copy move less than half the bytes, and none of them
+// carries a pointer for the GC — and builds the Request only at emission.
+// In trace replay (src set) ID is instead the index of the caller's
+// request, which carries the remaining fields.
+type arrival struct {
+	Arrival, Service float64
+	ID               uint64
+}
+
+// batchWalker drains a pre-sampled batch of arrivals through one pooled
 // kernel event. The batch, scratch, and bucket-count slices are reused
 // across ticks, so steady-state generation allocates nothing.
 type batchWalker struct {
 	s          *sim.Sim
 	fire       sim.FireID // interned walkBatch callback for this walker
 	emit       func(Request)
-	batch      []Request
+	src        []Request // trace replay: the requests batch IDs index; nil for web
+	batch      []arrival
 	idx        int
-	scratch    []Request // bucket-sort output buffer, swapped with batch
+	scratch    []arrival // bucket-sort output buffer, swapped with batch
 	counts     []int32   // bucket occupancy / offset buffer
 	precounted bool      // counts already hold the next batch's occupancy
 }
@@ -247,10 +262,11 @@ func (wk *batchWalker) active() bool { return wk.idx < len(wk.batch) }
 // walkerSnap holds one walker's captured drain state. The batch and
 // scratch buffers are overwritten by the next tick, so the snapshot
 // copies the undrained remnant batch[idx:] — O(live batch), not O(tick
-// history) — into a buffer the snap reuses across captures.
+// history), and a pointer-free memmove of 24-byte records — into a
+// buffer the snap reuses across captures.
 type walkerSnap struct {
 	wk      *batchWalker
-	remnant []Request
+	remnant []arrival
 }
 
 // snapshot captures wk's undrained remnant into sn.
@@ -275,38 +291,63 @@ func (sn *walkerSnap) restore() {
 // sort algorithm produces the same permutation — the (timestamp,
 // insertion sequence) order the per-event scheduling produced.
 func requestCmp(a, b Request) int {
+	return keyCmp(a.Arrival, a.ID, b.Arrival, b.ID)
+}
+
+// arrivalCmp is requestCmp on batch records.
+func arrivalCmp(a, b arrival) int {
+	return keyCmp(a.Arrival, a.ID, b.Arrival, b.ID)
+}
+
+func keyCmp(at float64, aid uint64, bt float64, bid uint64) int {
 	switch {
-	case a.Arrival < b.Arrival:
+	case at < bt:
 		return -1
-	case a.Arrival > b.Arrival:
+	case at > bt:
 		return 1
-	case a.ID < b.ID:
+	case aid < bid:
 		return -1
-	case a.ID > b.ID:
+	case aid > bid:
 		return 1
 	}
 	return 0
 }
 
-// start sorts a batch with no distributional assumptions (trace replay)
-// and schedules the first emission.
-func (wk *batchWalker) start(batch []Request) {
-	slices.SortFunc(batch, requestCmp)
+// startTrace replays reqs, which need not be sorted: the batch holds one
+// record per request whose ID is the request's index, sorted by the
+// requests' own (Arrival, ID) key, and emission hands out reqs[i]
+// itself, so every field (Class, Deadline, Client) survives. The records
+// are built in request order and compared as the requests they index,
+// so the sorted permutation — duplicate keys included — is the one
+// sorting a copy of reqs produces. reqs must not change while the
+// replay runs.
+func (wk *batchWalker) startTrace(reqs []Request) {
+	batch := make([]arrival, len(reqs))
+	for i := range reqs {
+		batch[i] = arrival{Arrival: reqs[i].Arrival, ID: uint64(i)}
+	}
+	slices.SortFunc(batch, func(a, b arrival) int {
+		return requestCmp(reqs[a.ID], reqs[b.ID])
+	})
+	wk.src = reqs
 	wk.launch(batch)
 }
 
 // startUniform sorts a batch whose arrivals are uniformly distributed
 // over [lo, lo+width) — the web generator's shape — with a stable
-// counting-sort scatter into one bucket per element followed by an
-// insertion-sort repair pass. Expected bucket occupancy is 1, so the
-// repair touches almost nothing and the whole sort is O(n) instead of
-// O(n log n) comparison calls; this is the generator's dominant cost at
-// scale. The scatter is stable and the repair breaks arrival ties by ID,
-// so the permutation is identical to the comparison sort's.
-func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
+// counting-sort scatter of the 24-byte records into one bucket per
+// element followed by an insertion-sort repair pass. Expected bucket
+// occupancy is 1, so the repair touches almost nothing and the whole
+// sort is O(n) instead of O(n log n) comparison calls; this is the
+// generator's dominant cost at scale. The scatter is stable and the
+// repair breaks arrival ties by ID, so the permutation is identical to
+// the comparison sort's. Batches under 32 records take that comparison
+// sort directly.
+func (wk *batchWalker) startUniform(batch []arrival, lo, width float64) {
 	n := len(batch)
 	if n < 32 || !(width > 0) {
-		wk.start(batch)
+		slices.SortFunc(batch, arrivalCmp)
+		wk.launch(batch)
 		return
 	}
 	nb := n
@@ -315,7 +356,7 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 	}
 	counts := wk.counts[:nb]
 	if cap(wk.scratch) < n {
-		wk.scratch = make([]Request, n)
+		wk.scratch = make([]arrival, n)
 	}
 	scratch := wk.scratch[:n]
 
@@ -370,7 +411,7 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 		for i := start + 1; i < end; i++ {
 			q := scratch[i]
 			j := i - 1
-			for j >= start && requestCmp(scratch[j], q) > 0 {
+			for j >= start && arrivalCmp(scratch[j], q) > 0 {
 				scratch[j+1] = scratch[j]
 				j--
 			}
@@ -384,10 +425,21 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 
 // launch points the walker at a sorted batch and schedules the first
 // emission.
-func (wk *batchWalker) launch(batch []Request) {
+func (wk *batchWalker) launch(batch []arrival) {
 	wk.batch = batch
 	wk.idx = 0
 	wk.s.AtFunc(batch[0].Arrival, walkBatch, wk)
+}
+
+// request builds the Request of batch record i: from the record itself
+// for generated batches, or the caller's request it indexes in trace
+// replay.
+func (wk *batchWalker) request(i int) Request {
+	a := &wk.batch[i]
+	if wk.src != nil {
+		return wk.src[a.ID]
+	}
+	return Request{ID: a.ID, Arrival: a.Arrival, Service: a.Service}
 }
 
 // walkBatch emits requests in firing order. The successor's sequence
@@ -403,7 +455,7 @@ func walkBatch(a any) {
 	wk := a.(*batchWalker)
 	s := wk.s
 	for {
-		req := wk.batch[wk.idx]
+		req := wk.request(wk.idx)
 		wk.idx++
 		if wk.idx >= len(wk.batch) {
 			wk.emit(req)
